@@ -68,7 +68,14 @@ pub struct CallStats {
 /// Pending asynchronous feature evaluation (paper §III-C).
 struct Pending<I: ?Sized> {
     input: Arc<I>,
-    handle: std::thread::JoinHandle<(Vec<f64>, f64)>,
+    features: PendingFeatures,
+}
+
+/// The features of a pending input: still evaluating on their own thread,
+/// or evaluated eagerly when asynchronous evaluation is off.
+enum PendingFeatures {
+    Async(std::thread::JoinHandle<(Vec<f64>, f64)>),
+    Ready((Vec<f64>, f64)),
 }
 
 /// One registered constraint: the vetoed variant, the executable check,
@@ -807,29 +814,29 @@ impl<I: ?Sized + Send + Sync + 'static> CodeVariant<I> {
                 }
             }
         };
-        let handle = if self.policy.async_feature_eval {
-            std::thread::spawn(work)
+        let features = if self.policy.async_feature_eval {
+            PendingFeatures::Async(std::thread::spawn(work))
         } else {
-            // Eager evaluation wrapped in an immediately-finished thread
-            // keeps one code path for call_fixed.
-            let result = work();
-            std::thread::spawn(move || result)
+            PendingFeatures::Ready(work())
         };
-        self.pending = Some(Pending { input, handle });
+        self.pending = Some(Pending { input, features });
     }
 
     /// Join the pending feature evaluation (the implicit barrier) and
     /// dispatch on the fixed input.
     pub fn call_fixed(&mut self) -> Result<Invocation> {
-        let Pending { input, handle } = self.pending.take().ok_or(NitroError::NoFixedInput)?;
-        let (features, cost) = handle.join().map_err(|payload| {
-            let detail = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "asynchronous feature evaluation".to_string());
-            NitroError::Thread { detail }
-        })?;
+        let Pending { input, features } = self.pending.take().ok_or(NitroError::NoFixedInput)?;
+        let (features, cost) = match features {
+            PendingFeatures::Ready(result) => result,
+            PendingFeatures::Async(handle) => handle.join().map_err(|payload| {
+                let detail = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "asynchronous feature evaluation".to_string());
+                NitroError::Thread { detail }
+            })?,
+        };
         self.dispatch(&input, features, cost, true)
     }
 }
@@ -964,6 +971,24 @@ mod tests {
         let inv = cv.call_fixed().unwrap();
         assert_eq!(inv.variant, 1);
         assert_eq!(cv.stats().async_calls, 1);
+    }
+
+    #[test]
+    fn call_fixed_is_the_same_invocation_with_and_without_async_eval() {
+        let mut invocations = Vec::new();
+        for async_eval in [false, true] {
+            let mut cv = toy();
+            cv.install_model(toy_model());
+            cv.policy_mut().async_feature_eval = async_eval;
+            for x in [2.0, 9.0] {
+                cv.fix_inputs(Arc::new(x));
+                invocations.push(cv.call_fixed().unwrap());
+            }
+            assert_eq!(cv.stats().async_calls, 2);
+        }
+        let (eager, asynced) = invocations.split_at(2);
+        assert_eq!(eager, asynced);
+        assert_eq!((eager[0].variant, eager[1].variant), (0, 1));
     }
 
     #[test]

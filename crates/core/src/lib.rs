@@ -70,6 +70,10 @@ pub use predicate::{CmpOp, ConstraintDescriptor, Predicate};
 pub use request::{Deadline, Priority, RequestMeta, TenantId};
 pub use variant::{FnVariant, Objective, Variant};
 
+// The data-parallel map every crate above core shares (profiling,
+// collection generation), so substrates need no direct rayon edge.
+pub use rayon;
+
 // Re-export the ML types that appear in this crate's public API, so
 // downstream crates don't need a direct nitro-ml dependency for basic use.
 pub use nitro_ml::{ClassifierConfig, TrainedModel};

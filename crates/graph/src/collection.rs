@@ -1,6 +1,7 @@
 //! Graph collections standing in for the paper's training set (20 graphs)
 //! and DIMACS10 test set (148 graphs).
 
+use nitro_core::rayon::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,23 +108,21 @@ fn build_sized(
     seed: u64,
     small: bool,
 ) -> Vec<BfsInput> {
-    let mut out = Vec::new();
-    for &(group, count) in plan {
-        for idx in 0..count {
+    let instances: Vec<(&str, usize)> = plan
+        .iter()
+        .flat_map(|&(group, count)| (0..count).map(move |idx| (group, idx)))
+        .collect();
+    instances
+        .par_iter()
+        .map(|&(group, idx)| {
             let g = if small {
                 small_graph(group, idx_base + idx, seed)
             } else {
                 group_graph(group, idx_base + idx, seed)
             };
-            out.push(BfsInput::new(
-                format!("{tag}/{group}/{idx}"),
-                group,
-                g,
-                SOURCES_PER_GRAPH,
-            ));
-        }
-    }
-    out
+            BfsInput::new(format!("{tag}/{group}/{idx}"), group, g, SOURCES_PER_GRAPH)
+        })
+        .collect()
 }
 
 fn small_graph(group: &str, idx: usize, seed: u64) -> CsrGraph {
@@ -170,6 +169,33 @@ mod tests {
         for group in GROUPS {
             let g = group_graph(group, 0, 2);
             assert!(g.n > 0 && g.n_edges() > 0, "group {group}");
+        }
+    }
+
+    /// The parallel generator against the serial loop it replaced.
+    #[test]
+    fn small_sets_equal_serial_generation() {
+        let seed = 17;
+        let (train, test) = bfs_small_sets(seed);
+        let train_plan = [("grid2d", 3), ("rmat", 3), ("regular", 2)];
+        let test_plan = [("grid2d", 4), ("rmat", 4), ("regular", 3)];
+        for (par, tag, plan, idx_base) in [
+            (train, "train", train_plan, 0),
+            (test, "test", test_plan, 500),
+        ] {
+            let mut serial = Vec::new();
+            for (group, count) in plan {
+                for idx in 0..count {
+                    let g = small_graph(group, idx_base + idx, seed);
+                    let name = format!("{tag}/{group}/{idx}");
+                    serial.push(BfsInput::new(name, group, g, SOURCES_PER_GRAPH));
+                }
+            }
+            assert_eq!(par.len(), serial.len());
+            for (p, s) in par.iter().zip(&serial) {
+                assert_eq!((&p.name, &p.group, &p.graph), (&s.name, &s.group, &s.graph));
+                assert_eq!((&p.sources, p.gpu_seed), (&s.sources, s.gpu_seed));
+            }
         }
     }
 

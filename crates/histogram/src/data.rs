@@ -1,5 +1,6 @@
 //! Histogram inputs and distribution generators.
 
+use nitro_core::rayon::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal, Zipf};
@@ -127,7 +128,9 @@ pub fn generate(family: &str, n: usize, seed: u64, name: &str) -> HistInput {
         // wildly across blocks (the even-share vs dynamic contrast).
         "sorted_uniform" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            // Non-negative samples: their bits order like their values,
+            // so an unstable integer sort equals the stable float sort.
+            v.sort_unstable_by_key(|x| x.to_bits());
             v
         }
         other => panic!("unknown histogram family '{other}'"),
@@ -177,8 +180,10 @@ fn build_set(
     seed: u64,
     sizes: std::ops::Range<usize>,
 ) -> Vec<HistInput> {
-    (0..count)
-        .map(|i| {
+    let indices: Vec<usize> = (0..count).collect();
+    indices
+        .par_iter()
+        .map(|&i| {
             let family = FAMILIES[i % FAMILIES.len()];
             let mut rng = StdRng::seed_from_u64(seed ^ ((idx_base + i) as u64) << 8);
             let n = rng.random_range(sizes.clone());
@@ -211,6 +216,32 @@ mod tests {
         let a = generate("zipf", 1000, 9, "z");
         let b = generate("zipf", 1000, 9, "z");
         assert_eq!(a.data, b.data);
+    }
+
+    /// The parallel generator against the serial loop it replaced.
+    #[test]
+    fn small_sets_equal_serial_generation() {
+        let seed = 19;
+        let (train, test) = hist_small_sets(seed);
+        for (par, tag, count, idx_base) in [(train, "train", 24, 0), (test, "test", 30, 500)] {
+            let serial: Vec<HistInput> = (0..count)
+                .map(|i| {
+                    let family = FAMILIES[i % FAMILIES.len()];
+                    let mut rng = StdRng::seed_from_u64(seed ^ ((idx_base + i) as u64) << 8);
+                    let n = rng.random_range(2_000..8_000);
+                    generate(family, n, rng.random(), &format!("{tag}/{family}/{i}"))
+                })
+                .collect();
+            assert_eq!(par.len(), serial.len());
+            for (p, s) in par.iter().zip(&serial) {
+                assert_eq!(
+                    (&p.name, &p.group, p.gpu_seed),
+                    (&s.name, &s.group, s.gpu_seed)
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&p.data), bits(&s.data));
+            }
+        }
     }
 
     #[test]

@@ -87,11 +87,18 @@ fn run_atomic(
     space: AtomicSpace,
 ) -> (Vec<u64>, f64) {
     let n = input.len();
+    // Bin every sample once: the byte addresses of the shared/global
+    // counters feed both the functional counts and the per-warp atomics.
+    let addrs: Vec<u64> = input
+        .data
+        .iter()
+        .map(|&v| (input.bin_of(v) * 4) as u64)
+        .collect();
     let mut counts = vec![0u64; N_BINS];
     // Device-wide bin popularity drives the global-contention term; it is
     // exactly what the final histogram measures, so bin first.
-    for &v in &input.data {
-        counts[input.bin_of(v)] += 1;
+    for &a in &addrs {
+        counts[(a / 4) as usize] += 1;
     }
     let hot_share = if space == AtomicSpace::Global && n > 0 {
         *counts.iter().max().unwrap() as f64 / n as f64
@@ -105,7 +112,6 @@ fn run_atomic(
     } else {
         "hist_global"
     };
-    let mut addrs: Vec<u64> = Vec::with_capacity(32);
     let stats = gpu.launch(kernel, blocks, schedule, |b, ctx| {
         let s0 = b * TILE;
         let s1 = (s0 + TILE).min(n);
@@ -115,17 +121,9 @@ fn run_atomic(
         // Stream the tile in.
         ctx.coalesced((s1 - s0) as u64, 8);
         ctx.charge_ops(3 * (s1 - s0) as u64);
-        // Warp-by-warp atomic updates with the tile's real bin pattern.
-        for w0 in (s0..s1).step_by(32) {
-            let w1 = (w0 + 32).min(s1);
-            addrs.clear();
-            addrs.extend(
-                input.data[w0..w1]
-                    .iter()
-                    .map(|&v| (input.bin_of(v) * 4) as u64),
-            );
-            ctx.warp_atomic(&addrs, space, hot_share);
-        }
+        // Warp-by-warp atomic updates with the tile's real bin pattern
+        // (tiles start on warp boundaries, so the 32-lane groups are warps).
+        ctx.warp_atomic(&addrs[s0..s1], space, hot_share);
         if space == AtomicSpace::Shared {
             // Merge the block's shared histogram into the global one.
             ctx.bulk_atomic(N_BINS as f64, AtomicSpace::Global, 1.0);

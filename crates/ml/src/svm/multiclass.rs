@@ -57,6 +57,20 @@ impl SvmTrainStats {
             self.cache_hits as f64 / total as f64
         }
     }
+
+    /// Fold a later fit's statistics into a running total over several
+    /// fits: solver work (kernel evaluations, cache hits and misses) adds
+    /// up, peak storage is the maximum, and the model-shape fields
+    /// (rows, machines, support vectors) are the later fit's.
+    pub fn absorb(&mut self, later: &SvmTrainStats) {
+        *self = SvmTrainStats {
+            kernel_evals: self.kernel_evals + later.kernel_evals,
+            cache_hits: self.cache_hits + later.cache_hits,
+            cache_misses: self.cache_misses + later.cache_misses,
+            peak_cache_bytes: self.peak_cache_bytes.max(later.peak_cache_bytes),
+            ..*later
+        };
+    }
 }
 
 /// A trained one-vs-one multiclass SVM with probability outputs.
@@ -328,6 +342,43 @@ impl SvmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn absorb_sums_solver_work_and_keeps_the_later_shape() {
+        let mut total = SvmTrainStats {
+            kernel_evals: 10,
+            cache_hits: 4,
+            cache_misses: 6,
+            peak_cache_bytes: 800,
+            train_rows: 5,
+            n_machines: 1,
+            unique_svs: 3,
+            total_sv_refs: 3,
+        };
+        total.absorb(&SvmTrainStats {
+            kernel_evals: 20,
+            cache_hits: 15,
+            cache_misses: 5,
+            peak_cache_bytes: 400,
+            train_rows: 6,
+            n_machines: 3,
+            unique_svs: 4,
+            total_sv_refs: 7,
+        });
+        assert_eq!(
+            total,
+            SvmTrainStats {
+                kernel_evals: 30,
+                cache_hits: 19,
+                cache_misses: 11,
+                peak_cache_bytes: 800,
+                train_rows: 6,
+                n_machines: 3,
+                unique_svs: 4,
+                total_sv_refs: 7,
+            }
+        );
+    }
 
     fn three_blob_dataset() -> Dataset {
         // Three well-separated clusters in 2D.

@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::block::BlockCtx;
-use crate::cache::TexCache;
 use crate::config::DeviceConfig;
 use crate::fault::{FaultOutcome, FaultPlan};
 use crate::noise::SplitMix64;
@@ -85,8 +84,9 @@ impl Gpu {
 
     /// Simulate one kernel launch of `blocks` thread blocks.
     ///
-    /// `body` is invoked once per block with that block's index and a fresh
-    /// cost-accounting [`BlockCtx`]; it performs the kernel's *functional*
+    /// `body` is invoked once per block with that block's index and the
+    /// launch's cost-accounting [`BlockCtx`], whose tally starts from zero
+    /// for every block; it performs the kernel's *functional*
     /// work on the CPU while charging simulated costs. The launch time is
     ///
     /// ```text
@@ -127,19 +127,14 @@ impl Gpu {
             panic!("injected launch failure: kernel '{kernel}' (launch {idx})");
         }
 
-        let mut tex = TexCache::new(
-            self.cfg.tex_cache_bytes,
-            self.cfg.tex_line_bytes,
-            self.cfg.tex_assoc,
-        );
         let mut block_ns = Vec::with_capacity(blocks);
         let mut tally = KernelTally::default();
         let cycle_ns = self.cfg.cycle_ns();
 
+        let mut ctx = BlockCtx::new(&self.cfg);
         for b in 0..blocks {
-            let mut ctx = BlockCtx::new(&self.cfg, &mut tex);
             body(b, &mut ctx);
-            let t = ctx.into_tally();
+            let t = ctx.take_tally();
             let mut cycles = t.work_cycles();
             if schedule == Schedule::Dynamic {
                 cycles += DYNAMIC_DISPATCH_CYCLES;

@@ -8,6 +8,7 @@
 //! and a few systems nothing solves (the paper found 6 such among its
 //! 100).
 
+use nitro_core::rayon::prelude::*;
 use nitro_sparse::{gen, CooMatrix, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,14 +192,17 @@ pub fn solver_small_sets(seed: u64) -> (Vec<SolverInput>, Vec<SolverInput>) {
 }
 
 fn build_set(tag: &str, plan: &[(&str, usize)], idx_base: usize, seed: u64) -> Vec<SolverInput> {
-    let mut out = Vec::new();
-    for &(group, count) in plan {
-        for idx in 0..count {
+    let instances: Vec<(&str, usize)> = plan
+        .iter()
+        .flat_map(|&(group, count)| (0..count).map(move |idx| (group, idx)))
+        .collect();
+    instances
+        .par_iter()
+        .map(|&(group, idx)| {
             let a = group_system(group, idx_base + idx, seed);
-            out.push(SolverInput::new(format!("{tag}/{group}/{idx}"), group, a));
-        }
-    }
-    out
+            SolverInput::new(format!("{tag}/{group}/{idx}"), group, a)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -220,6 +224,35 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.a, y.a);
+        }
+    }
+
+    /// The parallel generator against the serial loop it replaced.
+    #[test]
+    fn small_sets_equal_serial_generation() {
+        let seed = 13;
+        let (train, test) = solver_small_sets(seed);
+        let groups = [
+            "spd_dominant",
+            "spd_marginal",
+            "nonsym_dominant",
+            "spd_weak",
+        ];
+        for (par, tag, idx_base, count) in [(train, "train", 0, 3), (test, "test", 500, 4)] {
+            let mut serial = Vec::new();
+            for group in groups {
+                for idx in 0..count {
+                    let a = group_system(group, idx_base + idx, seed);
+                    serial.push(SolverInput::new(format!("{tag}/{group}/{idx}"), group, a));
+                }
+            }
+            assert_eq!(par.len(), serial.len());
+            for (p, s) in par.iter().zip(&serial) {
+                assert_eq!(
+                    (&p.name, &p.group, &p.a, &p.b),
+                    (&s.name, &s.group, &s.a, &s.b)
+                );
+            }
         }
     }
 

@@ -8,6 +8,7 @@
 //! too — the paper tried them and found performance identical to
 //! uniform.
 
+use nitro_core::rayon::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp, Normal};
@@ -140,12 +141,13 @@ pub fn generate(category: &str, n: usize, wide: bool, seed: u64, name: &str) -> 
         "uniform" => (0..n).map(|_| rng.random::<f64>() * 1e6).collect(),
         "reverse" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 1e6).collect();
-            v.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            sort_nonnegative(&mut v);
+            v.reverse();
             v
         }
         "almost_sorted" => {
             let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 1e6).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sort_nonnegative(&mut v);
             // Swap 20–25% of the keys (paper's recipe). Swap partners are
             // drawn from a bounded neighbourhood: "almost sorted" data in
             // practice (incremental updates, timestamps, resorted feeds)
@@ -178,6 +180,14 @@ pub fn generate(category: &str, n: usize, wide: bool, seed: u64, name: &str) -> 
     SortInput::new(name, category, keys)
 }
 
+/// Sort finite, non-negative, non-NaN samples ascending. Their raw bits
+/// order like their values, and equal values have equal bits, so an
+/// unstable integer sort gives exactly what a stable float sort would.
+fn sort_nonnegative(v: &mut [f64]) {
+    debug_assert!(v.iter().all(|x| x.is_sign_positive() && !x.is_nan()));
+    v.sort_unstable_by_key(|x| x.to_bits());
+}
+
 /// Training set: 120 instances (paper: 60 sequences per key width).
 pub fn sort_training_set(seed: u64) -> Vec<SortInput> {
     build_set("train", 60, 0, seed)
@@ -186,52 +196,54 @@ pub fn sort_training_set(seed: u64) -> Vec<SortInput> {
 /// Test set: 600 instances (paper: 300 per key width, 100 per category —
 /// uniform / reverse-sorted / almost-sorted).
 pub fn sort_test_set(seed: u64) -> Vec<SortInput> {
-    let mut out = Vec::with_capacity(600);
+    let mut plan = Vec::with_capacity(600);
     for wide in [false, true] {
-        let width = if wide { 64 } else { 32 };
-        for (c, category) in ["uniform", "reverse", "almost_sorted"]
-            .into_iter()
-            .enumerate()
-        {
-            for i in 0..100 {
-                let mut rng = StdRng::seed_from_u64(seed ^ ((width + c * 7 + i * 31) as u64) << 9);
-                let n = rng.random_range(10_000..200_000);
-                out.push(generate(
-                    category,
-                    n,
-                    wide,
-                    rng.random(),
-                    &format!("test/{category}/{width}/{i}"),
-                ));
-            }
+        for c in 0..3 {
+            plan.extend((0..100).map(|i| (wide, c, i)));
         }
     }
-    out
+    plan.par_iter()
+        .map(|&(wide, c, i)| {
+            let category = ["uniform", "reverse", "almost_sorted"][c];
+            let width = if wide { 64 } else { 32 };
+            let mut rng = StdRng::seed_from_u64(seed ^ ((width + c * 7 + i * 31) as u64) << 9);
+            let n = rng.random_range(10_000..200_000);
+            generate(
+                category,
+                n,
+                wide,
+                rng.random(),
+                &format!("test/{category}/{width}/{i}"),
+            )
+        })
+        .collect()
 }
 
 /// Small train/test pair for unit and integration tests.
 pub fn sort_small_sets(seed: u64) -> (Vec<SortInput>, Vec<SortInput>) {
     let make = |tag: &str, base: usize, per: usize| -> Vec<SortInput> {
-        let mut out = Vec::new();
+        let mut plan = Vec::with_capacity(6 * per);
         for wide in [false, true] {
-            let width = if wide { 64 } else { 32 };
             for category in ["uniform", "reverse", "almost_sorted"] {
-                for i in 0..per {
-                    let mut rng = StdRng::seed_from_u64(
-                        seed ^ ((base + i * 13 + width) as u64) << 7 ^ h(category),
-                    );
-                    let n = rng.random_range(3_000..12_000);
-                    out.push(generate(
-                        category,
-                        n,
-                        wide,
-                        rng.random(),
-                        &format!("{tag}/{category}/{width}/{i}"),
-                    ));
-                }
+                plan.extend((0..per).map(|i| (wide, category, i)));
             }
         }
-        out
+        plan.par_iter()
+            .map(|&(wide, category, i)| {
+                let width = if wide { 64 } else { 32 };
+                let mut rng = StdRng::seed_from_u64(
+                    seed ^ ((base + i * 13 + width) as u64) << 7 ^ h(category),
+                );
+                let n = rng.random_range(3_000..12_000);
+                generate(
+                    category,
+                    n,
+                    wide,
+                    rng.random(),
+                    &format!("{tag}/{category}/{width}/{i}"),
+                )
+            })
+            .collect()
     };
     (make("train", 0, 3), make("test", 900, 4))
 }
@@ -245,24 +257,26 @@ fn h(s: &str) -> u64 {
 /// The paper's training mix: 60 sequences per width across the five
 /// categories.
 fn build_set(tag: &str, per_width: usize, idx_base: usize, seed: u64) -> Vec<SortInput> {
-    let mut out = Vec::with_capacity(2 * per_width);
-    for wide in [false, true] {
-        let width = if wide { 64 } else { 32 };
-        for i in 0..per_width {
+    let plan: Vec<(bool, usize)> = [false, true]
+        .into_iter()
+        .flat_map(|wide| (0..per_width).map(move |i| (wide, i)))
+        .collect();
+    plan.par_iter()
+        .map(|&(wide, i)| {
+            let width = if wide { 64 } else { 32 };
             let category = CATEGORIES[i % CATEGORIES.len()];
             let mut rng =
                 StdRng::seed_from_u64(seed ^ ((idx_base + i) as u64) << 8 ^ (width as u64));
             let n = rng.random_range(10_000..200_000);
-            out.push(generate(
+            generate(
                 category,
                 n,
                 wide,
                 rng.random(),
                 &format!("{tag}/{category}/{width}/{i}"),
-            ));
-        }
-    }
-    out
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -291,6 +305,67 @@ mod tests {
         let rev = generate("reverse", 10_000, true, 5, "r");
         assert!(rev.keys.median_displacement() > 2000.0);
         assert_eq!(rev.keys.ascending_runs(), 10_000);
+    }
+
+    /// The parallel generator against the serial loop it replaced.
+    #[test]
+    fn small_sets_equal_serial_generation() {
+        let seed = 23;
+        let (train, test) = sort_small_sets(seed);
+        for (par, tag, base, per) in [(train, "train", 0, 3), (test, "test", 900, 4)] {
+            let mut serial = Vec::new();
+            for wide in [false, true] {
+                let width = if wide { 64 } else { 32 };
+                for category in ["uniform", "reverse", "almost_sorted"] {
+                    for i in 0..per {
+                        let mut rng = StdRng::seed_from_u64(
+                            seed ^ ((base + i * 13 + width) as u64) << 7 ^ h(category),
+                        );
+                        let n = rng.random_range(3_000..12_000);
+                        let name = format!("{tag}/{category}/{width}/{i}");
+                        serial.push(generate(category, n, wide, rng.random(), &name));
+                    }
+                }
+            }
+            assert_eq!(par.len(), serial.len());
+            for (p, s) in par.iter().zip(&serial) {
+                assert_eq!(
+                    (&p.name, &p.group, p.gpu_seed),
+                    (&s.name, &s.group, s.gpu_seed)
+                );
+                assert_eq!(key_bits(&p.keys), key_bits(&s.keys));
+            }
+        }
+    }
+
+    fn key_bits(k: &Keys) -> Vec<u64> {
+        match k {
+            Keys::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            Keys::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    #[test]
+    fn sorted_categories_equal_a_stable_float_sort() {
+        for (category, seed) in [("reverse", 3), ("almost_sorted", 4), ("reverse", 5)] {
+            // The draws `generate` makes before its sort, then the sort it
+            // replaced.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut v: Vec<f64> = (0..5_000).map(|_| rng.random::<f64>() * 1e6).collect();
+            v.extend_from_within(..700); // ties
+            let mut expect = v.clone();
+            if category == "reverse" {
+                expect.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            } else {
+                expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            }
+            sort_nonnegative(&mut v);
+            if category == "reverse" {
+                v.reverse();
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&v), bits(&expect), "{category}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! collection (paper §IV: 54 training and 100 test matrices, the test set
 //! drawn as ~10 matrices from each of 9 groups plus 13 stencil matrices).
 
+use nitro_core::rayon::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,71 +104,83 @@ fn hash(s: &str) -> u64 {
 /// The SpMV training collection: 54 matrices, 6 per group (paper: 54
 /// UFL training matrices chosen so every variant is well represented).
 pub fn spmv_training_set(seed: u64) -> Vec<SpmvInput> {
-    let mut out = Vec::with_capacity(54);
-    for group in GROUPS {
-        for idx in 0..6 {
+    let plan: Vec<(&str, usize)> = GROUPS
+        .iter()
+        .flat_map(|&group| (0..6).map(move |idx| (group, idx)))
+        .collect();
+    plan.par_iter()
+        .map(|&(group, idx)| {
             let m = group_matrix(group, idx, seed);
-            out.push(SpmvInput::new(format!("train/{group}/{idx}"), group, m));
-        }
-    }
-    out
+            SpmvInput::new(format!("train/{group}/{idx}"), group, m)
+        })
+        .collect()
 }
 
 /// The SpMV test collection: 100 matrices — ~10 per group minus a short
 /// "williams"-style group, plus 13 stencil instances (paper §IV). Uses an
 /// index offset so test instances never collide with training ones.
 pub fn spmv_test_set(seed: u64) -> Vec<SpmvInput> {
-    let mut out = Vec::with_capacity(100);
-    for (g, group) in GROUPS.iter().enumerate() {
+    // `None` marks the 13 stencil-related extras that follow the groups.
+    let mut plan: Vec<(Option<&str>, usize)> = Vec::with_capacity(100);
+    for (g, &group) in GROUPS.iter().enumerate() {
         // 10 each from 8 groups, 7 from the last ("williams has only 7").
         let count = if g == GROUPS.len() - 1 { 7 } else { 10 };
-        for idx in 0..count {
-            let m = group_matrix(group, 100 + idx, seed);
-            out.push(SpmvInput::new(format!("test/{group}/{idx}"), *group, m));
-        }
+        plan.extend((0..count).map(|idx| (Some(group), idx)));
     }
-    // 13 stencil-related matrices.
-    for idx in 0..13 {
-        let m = if idx % 2 == 0 {
-            let side = 50 + idx * 7;
-            gen::stencil_2d(side, side, idx % 4 == 0)
-        } else {
-            let side = 13 + idx;
-            gen::stencil_3d(side, side, side)
-        };
-        out.push(SpmvInput::new(
-            format!("test/stencil/{idx}"),
-            "stencil_extra",
-            m,
-        ));
-    }
-    out
+    plan.extend((0..13).map(|idx| (None, idx)));
+    plan.par_iter()
+        .map(|&(group, idx)| match group {
+            Some(group) => {
+                let m = group_matrix(group, 100 + idx, seed);
+                SpmvInput::new(format!("test/{group}/{idx}"), group, m)
+            }
+            None => {
+                let m = if idx % 2 == 0 {
+                    let side = 50 + idx * 7;
+                    gen::stencil_2d(side, side, idx % 4 == 0)
+                } else {
+                    let side = 13 + idx;
+                    gen::stencil_3d(side, side, side)
+                };
+                SpmvInput::new(format!("test/stencil/{idx}"), "stencil_extra", m)
+            }
+        })
+        .collect()
 }
 
 /// A miniature train/test pair for unit and integration tests: same group
 /// structure, much smaller matrices.
 pub fn spmv_small_sets(seed: u64) -> (Vec<SpmvInput>, Vec<SpmvInput>) {
-    let groups = ["banded", "uniform", "power_law", "clustered"];
     let make = |tag: &str, idx_base: usize, count: usize| -> Vec<SpmvInput> {
-        let mut v = Vec::new();
-        for group in groups {
-            for idx in 0..count {
-                let mut rng = StdRng::seed_from_u64(seed ^ hash(group) ^ (idx_base + idx) as u64);
-                // Large enough that format choice matters (launch overhead
-                // dominates tiny matrices and collapses the labels).
-                let n = rng.random_range(2_500..6_000);
-                let m = match group {
-                    "banded" => gen::banded(n, 4, 0.9, rng.random()),
-                    "uniform" => gen::uniform_rows(n, 8, n, rng.random()),
-                    "power_law" => gen::power_law(n, 8.0, 1.6, rng.random()),
-                    _ => gen::clustered(n, 12, 48, rng.random()),
-                };
-                v.push(SpmvInput::new(format!("{tag}/{group}/{idx}"), group, m));
-            }
-        }
-        v
+        let plan: Vec<(&str, usize)> = SMALL_GROUPS
+            .iter()
+            .flat_map(|&group| (0..count).map(move |idx| (group, idx)))
+            .collect();
+        plan.par_iter()
+            .map(|&(group, idx)| {
+                let m = small_matrix(group, idx_base + idx, seed);
+                SpmvInput::new(format!("{tag}/{group}/{idx}"), group, m)
+            })
+            .collect()
     };
     (make("train", 0, 4), make("test", 50, 5))
+}
+
+/// The groups of [`spmv_small_sets`].
+const SMALL_GROUPS: [&str; 4] = ["banded", "uniform", "power_law", "clustered"];
+
+/// The `idx`-th matrix of a miniature group.
+fn small_matrix(group: &str, idx: usize, seed: u64) -> CsrMatrix {
+    let mut rng = StdRng::seed_from_u64(seed ^ hash(group) ^ idx as u64);
+    // Large enough that format choice matters (launch overhead
+    // dominates tiny matrices and collapses the labels).
+    let n = rng.random_range(2_500..6_000);
+    match group {
+        "banded" => gen::banded(n, 4, 0.9, rng.random()),
+        "uniform" => gen::uniform_rows(n, 8, n, rng.random()),
+        "power_law" => gen::power_law(n, 8.0, 1.6, rng.random()),
+        _ => gen::clustered(n, 12, 48, rng.random()),
+    }
 }
 
 #[cfg(test)]
@@ -228,6 +241,40 @@ mod tests {
                     cols.windows(2).all(|w| w[0] < w[1]),
                     "unsorted row in {group}"
                 );
+            }
+        }
+    }
+
+    /// The parallel generators against the serial loops they replaced.
+    #[test]
+    fn small_sets_equal_serial_generation() {
+        let seed = 11;
+        let serial = |tag: &str, idx_base: usize, count: usize| {
+            let mut v = Vec::new();
+            for group in ["banded", "uniform", "power_law", "clustered"] {
+                for idx in 0..count {
+                    let mut rng =
+                        StdRng::seed_from_u64(seed ^ hash(group) ^ (idx_base + idx) as u64);
+                    let n = rng.random_range(2_500..6_000);
+                    let m = match group {
+                        "banded" => gen::banded(n, 4, 0.9, rng.random()),
+                        "uniform" => gen::uniform_rows(n, 8, n, rng.random()),
+                        "power_law" => gen::power_law(n, 8.0, 1.6, rng.random()),
+                        _ => gen::clustered(n, 12, 48, rng.random()),
+                    };
+                    v.push((format!("{tag}/{group}/{idx}"), group.to_string(), m));
+                }
+            }
+            v
+        };
+        let (train, test) = spmv_small_sets(seed);
+        for (par, ser) in [
+            (train, serial("train", 0, 4)),
+            (test, serial("test", 50, 5)),
+        ] {
+            assert_eq!(par.len(), ser.len());
+            for (p, (name, group, csr)) in par.iter().zip(&ser) {
+                assert_eq!((&p.name, &p.group, &p.csr), (name, group, csr));
             }
         }
     }

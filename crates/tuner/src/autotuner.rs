@@ -188,10 +188,11 @@ pub struct TuneReport {
     /// labeling / training / evaluation), in execution order.
     #[serde(default)]
     pub phase_timings: Vec<PhaseTiming>,
-    /// SVM solver statistics from the final model fit: kernel
-    /// evaluations, cache hit rate and support-vector compression.
-    /// `None` for non-SVM classifiers and for incremental tuning (whose
-    /// final fit happens inside the active learner).
+    /// SVM solver statistics: kernel evaluations, cache hit rate and
+    /// support-vector compression. Full tuning reports its one fit;
+    /// incremental tuning sums the solver work over the seed fit and
+    /// every refit (see [`SvmTrainStats::absorb`]). `None` for non-SVM
+    /// classifiers.
     #[serde(default)]
     pub svm_train_stats: Option<SvmTrainStats>,
     /// Profile cells satisfied by replaying a tuning journal instead of
@@ -401,7 +402,18 @@ impl Autotuner {
             .collect();
         let mut learner = ActiveLearner::new(seed, pool);
         let config = cv.policy().classifier.clone();
-        let mut model = phases.run("training", || learner.fit(&config));
+        // Solver statistics summed over the seed fit and every refit.
+        let mut svm_train_stats: Option<SvmTrainStats> = None;
+        let mut fit = |learner: &ActiveLearner| {
+            let (model, stats) = TrainedModel::train_with_stats(&config, learner.labeled());
+            if let Some(stats) = stats {
+                svm_train_stats
+                    .get_or_insert_with(SvmTrainStats::default)
+                    .absorb(&stats);
+            }
+            model
+        };
+        let mut model = phases.run("training", || fit(&learner));
         let mut model_history = vec![model.clone()];
 
         let mut accuracy_history = Vec::new();
@@ -451,7 +463,7 @@ impl Autotuner {
                     continue; // an unlabelable input doesn't count as an iteration
                 }
             }
-            model = phases.run("training", || learner.fit(&config));
+            model = phases.run("training", || fit(&learner));
             model_history.push(model.clone());
             iterations += 1;
             phases.run("evaluation", || {
@@ -477,7 +489,7 @@ impl Autotuner {
             model_history,
             audit_warnings,
             phase_timings: phases.finish(),
-            svm_train_stats: None,
+            svm_train_stats,
             replayed_cells: source.replayed_cells(),
         })
     }
@@ -636,6 +648,21 @@ mod tests {
         );
         assert_eq!(cv.call(&0.5).unwrap().variant, 0);
         assert_eq!(cv.call(&9.5).unwrap().variant, 1);
+    }
+
+    #[test]
+    fn incremental_tuning_sums_svm_stats_over_refits() {
+        let ctx = Context::new();
+        let mut cv = toy(&ctx);
+        cv.policy_mut().incremental = Some(StoppingCriterion::Iterations(4));
+        let report = Autotuner::new().tune(&mut cv, &training_inputs()).unwrap();
+        let stats = report
+            .svm_train_stats
+            .expect("incremental SVM fits report stats");
+        assert!(report.model_history.len() > 1, "seed fit plus refits");
+        assert!(stats.kernel_evals > 0);
+        assert!(stats.cache_hits + stats.cache_misses > 0);
+        assert!((0.0..=1.0).contains(&stats.cache_hit_rate()));
     }
 
     #[test]

@@ -36,32 +36,55 @@ pub struct ProfileTable {
 /// One profiled input: `(features, feature_cost_ns, costs, allowed)`.
 pub type ProfileRow = (Vec<f64>, f64, Vec<f64>, Vec<bool>);
 
+/// The outcome of running one variant on one input.
+enum Cell {
+    /// A constraint vetoed the variant.
+    Vetoed,
+    /// The variant panicked or reported a non-finite objective.
+    Failed,
+    /// The variant's objective value.
+    Cost(f64),
+}
+
 impl ProfileTable {
     /// Exhaustively profile `inputs` under the code variant's policy.
     ///
-    /// Inputs are profiled in parallel; determinism is preserved as long
-    /// as each variant execution is deterministic for a given input
+    /// Every input's features, and every (input, variant) cell, is its own
+    /// parallel task: the fine grain keeps all workers busy to the end of
+    /// the sweep whatever the cost skew between inputs and variants. The
+    /// table equals a serial walk over [`ProfileTable::profile_one`] as
+    /// long as each variant execution is deterministic for a given input
     /// (which the simulated benchmark substrates guarantee).
     pub fn build<I>(cv: &CodeVariant<I>, inputs: &[I]) -> Self
     where
         I: Send + Sync,
     {
         let objective = cv.policy().objective;
-        let rows: Vec<ProfileRow> = inputs
+        let features: Vec<(Vec<f64>, f64)> = inputs
             .par_iter()
-            .map(|input| Self::profile_one(cv, input))
+            .map(|input| cv.evaluate_features(input))
+            .collect();
+        let nv = cv.n_variants();
+        let cells: Vec<(usize, usize)> = (0..inputs.len())
+            .flat_map(|i| (0..nv).map(move |v| (i, v)))
+            .collect();
+        let cells: Vec<Cell> = cells
+            .par_iter()
+            .map(|&(i, v)| Self::profile_cell(cv, v, &inputs[i]))
             .collect();
 
         let mut table = Self {
             objective,
             variant_names: cv.variant_names(),
             feature_names: cv.active_feature_names(),
-            costs: Vec::with_capacity(rows.len()),
-            features: Vec::with_capacity(rows.len()),
-            feature_cost_ns: Vec::with_capacity(rows.len()),
-            allowed: Vec::with_capacity(rows.len()),
+            costs: Vec::with_capacity(inputs.len()),
+            features: Vec::with_capacity(inputs.len()),
+            feature_cost_ns: Vec::with_capacity(inputs.len()),
+            allowed: Vec::with_capacity(inputs.len()),
         };
-        for (features, fcost, costs, allowed) in rows {
+        for (i, (features, fcost)) in features.into_iter().enumerate() {
+            let row = Self::finish_row(cv, features, fcost, &cells[i * nv..(i + 1) * nv]);
+            let (features, fcost, costs, allowed) = row;
             table.features.push(features);
             table.feature_cost_ns.push(fcost);
             table.costs.push(costs);
@@ -76,36 +99,58 @@ impl ProfileTable {
         I: ?Sized + Send + Sync,
     {
         let (features, fcost) = cv.evaluate_features(input);
+        let cells: Vec<Cell> = (0..cv.n_variants())
+            .map(|v| Self::profile_cell(cv, v, input))
+            .collect();
+        Self::finish_row(cv, features, fcost, &cells)
+    }
+
+    /// Run one variant on one input, failure-isolated.
+    fn profile_cell<I>(cv: &CodeVariant<I>, v: usize, input: &I) -> Cell
+    where
+        I: ?Sized + Send + Sync,
+    {
+        if !cv.constraints_satisfied(v, input) {
+            return Cell::Vetoed;
+        }
+        match cv.try_run_variant(v, input) {
+            Ok(c) => Cell::Cost(c),
+            Err(_) => Cell::Failed,
+        }
+    }
+
+    /// Assemble one input's row from its cells, and trace it.
+    fn finish_row<I>(
+        cv: &CodeVariant<I>,
+        features: Vec<f64>,
+        fcost: f64,
+        cells: &[Cell],
+    ) -> ProfileRow
+    where
+        I: ?Sized + Send + Sync,
+    {
         let objective = cv.policy().objective;
-        let mut costs = Vec::with_capacity(cv.n_variants());
-        let mut allowed = Vec::with_capacity(cv.n_variants());
+        let mut costs = Vec::with_capacity(cells.len());
+        let mut allowed = Vec::with_capacity(cells.len());
         let mut failures = 0u64;
-        for v in 0..cv.n_variants() {
-            let ok = cv.constraints_satisfied(v, input);
-            if !ok {
-                // Paper §II-B: constraints "force the variant to return an
-                // ∞ value during the offline training phase".
-                allowed.push(false);
-                costs.push(objective.worst());
-                continue;
-            }
-            // Failure-isolated execution: a variant that panics (or
-            // reports a non-finite objective) on this input is recorded
-            // like a vetoed one — worst cost, not allowed — so labels
-            // come from the surviving variants and an input where every
-            // variant fails simply drops out of the training set
+        for cell in cells {
+            // Paper §II-B: constraints "force the variant to return an ∞
+            // value during the offline training phase". A variant that
+            // panics (or reports a non-finite objective) on this input is
+            // recorded like a vetoed one — worst cost, not allowed — so
+            // labels come from the surviving variants and an input where
+            // every variant fails simply drops out of the training set
             // (see [`ProfileTable::labels`]).
-            match cv.try_run_variant(v, input) {
-                Ok(c) => {
-                    allowed.push(true);
-                    costs.push(c);
-                }
-                Err(_) => {
+            let cost = match *cell {
+                Cell::Cost(c) => Some(c),
+                Cell::Failed => {
                     failures += 1;
-                    allowed.push(false);
-                    costs.push(objective.worst());
+                    None
                 }
-            }
+                Cell::Vetoed => None,
+            };
+            allowed.push(cost.is_some());
+            costs.push(cost.unwrap_or(objective.worst()));
         }
         if let Some(tracer) = cv.context().tracer() {
             if failures > 0 {
